@@ -170,6 +170,14 @@ DEFAULT_RULES = {
         # _forget_locks surplus accounting stay coherent.
         "_escalated_weights": "lock-owner",
     },
+    # Tables: the key-set version and the insert log a scan's re-probe
+    # rounds read must move together with the tree, under the table latch.
+    "src/repro/storage/table.py": {
+        "_tree": "table",
+        "keyset_version": "table",
+        "_inserts": "table",
+        "_insert_floor": "table",
+    },
     # The safe-snapshot monitor mutates its watch maps under the engine's
     # tracker latch (its register/on_commit/on_abort contracts).
     "src/repro/core/conflicts.py": {

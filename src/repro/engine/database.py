@@ -39,6 +39,8 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left
+from operator import itemgetter
 from typing import Any, Hashable, Iterable, Optional
 
 from repro.cc import build_policies
@@ -85,7 +87,12 @@ from repro.mvcc.version import TOMBSTONE, Version
 from repro.obs.explain import AbortExplanation, explain_abort as _explain_abort
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import EventTrace, EventType
-from repro.sgt.history import HistoryRecorder
+from repro.sgt.history import (
+    READ_HIDDEN,
+    READ_RETURNED,
+    RETURNED_UNREAD,
+    HistoryRecorder,
+)
 from repro.storage.btree import SUPREMUM
 from repro.storage.table import Table
 
@@ -967,15 +974,23 @@ class Database:
         self._ensure_snapshot(txn)
         self.stats.inc("scans")
         if self.config.scan_kernel:
-            results, seen = self._scan_chunked(txn, table, table_name, lo, hi)
+            results, scanned = self._scan_chunked(
+                txn, table, table_name, lo, hi
+            )
         else:
             results, seen = self._scan_per_row(txn, table, table_name, lo, hi)
+            scanned = None
         # Own uncommitted writes overlay the scan result.
         results = self._overlay_write_set(txn, table_name, lo, hi, results)
-        if self.history is not None and txn.read_ts is not None:
-            self.history.on_scan(
-                txn.id, table_name, (lo, hi), tuple(seen), txn.read_ts
-            )
+        if self.history is not None:
+            if scanned is not None:
+                self.history.on_scan_rows(
+                    txn.id, table_name, (lo, hi), txn.read_ts, *scanned
+                )
+            elif txn.read_ts is not None:
+                self.history.on_scan(
+                    txn.id, table_name, (lo, hi), tuple(seen), txn.read_ts
+                )
         if reverse:
             results = list(reversed(results))
         if limit is not None:
@@ -1147,7 +1162,7 @@ class Database:
         table_name: str,
         lo: Hashable | None,
         hi: Hashable | None,
-    ) -> tuple[list[tuple[Hashable, Any]], list[Hashable]]:
+    ) -> tuple[list[tuple[Hashable, Any]], tuple | None]:
         """The chunked scan kernel: latch-bounded materialisation, one
         batched lock round per key-set generation, batch visibility
         resolution.  Wide SSI scans switch to up-front page-granularity
@@ -1191,22 +1206,30 @@ class Database:
     ) -> list:
         """Record-granularity lock rounds of the chunked kernel.
 
-        Same protocol and convergence argument as :meth:`_scan_per_row`
-        (locks land before resolution; the key-set version is re-probed
-        after each batch; ``requested`` only grows), with the per-row
-        overheads hoisted: the granularity branch is taken once, RECORD
-        resources are built as plain tuples with no table-latch traffic,
-        and covered resources are probed through one stripe-grouped
-        batch instead of one latch acquisition each."""
+        Same protocol as :meth:`_scan_per_row` (locks land before
+        resolution; the key-set version is re-probed after each batch;
+        ``requested`` only grows), with the per-row overheads hoisted:
+        the granularity branch is taken once, RECORD resources are built
+        as plain tuples with no table-latch traffic, and covered
+        resources are probed through one stripe-grouped batch instead of
+        one latch acquisition each.
+
+        Re-probe rounds are incremental: a round after the first locks
+        only the keys of [lo, hi] the table's insert log says were added
+        since the previous key-set sample (:meth:`_rows_added_since`),
+        plus the recomputed boundary gap, instead of re-materialising
+        the range.  PAGE granularity re-materialises: a leaf split can
+        move an already-locked key onto a page it has no lock on."""
         lm = self.locks
         cache = txn._siread_cache if read_mode is LockMode.SIREAD else None
         page_locked = self.config.granularity is LockGranularity.PAGE
         requested: set = set()
+        fresh = chains
         while True:
             candidates: list = []
             if page_locked:
                 leaf_page_of = table.leaf_page_of
-                for key, _chain in chains:
+                for key, _chain in fresh:
                     candidates.append(
                         page_resource(table_name, leaf_page_of(key))
                     )
@@ -1215,7 +1238,7 @@ class Database:
                     page_resource(table_name, leaf_page_of(boundary))
                 )
             else:
-                for key, _chain in chains:
+                for key, _chain in fresh:
                     candidates.append(gap_resource(table_name, key))
                     candidates.append(record_resource(table_name, key))
                 boundary = table.successor(hi) if hi is not None else SUPREMUM
@@ -1253,9 +1276,48 @@ class Database:
             keyset_now = table.keyset_version
             if keyset_now == keyset_before:
                 break
+            if page_locked:
+                fresh = chains = self._materialize_chunks(table, lo, hi)
+            else:
+                chains, fresh = self._rows_added_since(
+                    table, lo, hi, chains, keyset_before
+                )
             keyset_before = keyset_now
-            chains = self._materialize_chunks(table, lo, hi)
         return chains
+
+    def _rows_added_since(
+        self,
+        table,
+        lo: Hashable | None,
+        hi: Hashable | None,
+        chains: list,
+        keyset_before: int,
+    ) -> tuple[list, list]:
+        """Bring a scan's materialised ``chains`` up to date after its
+        key set moved past ``keyset_before`` (sampled before ``chains``
+        was last brought up to date).
+
+        Returns ``(chains, fresh)``: ``fresh`` holds the pairs the next
+        lock round owes — the keys the table's insert log says were
+        added to [lo, hi] since the sample, folded into ``chains`` in
+        key order (a re-added key's new chain replaces its old one).
+        Keys vacuumed away meanwhile stay in ``chains``; their chains
+        are empty, so they resolve to no visible version.  When the log
+        no longer reaches back to the sample the range is
+        re-materialised and every pair counts as fresh (the lock round
+        skips those it already requested)."""
+        added = table.inserted_since(keyset_before, lo, hi)
+        if added is None:
+            chains = self._materialize_chunks(table, lo, hi)
+            return chains, chains
+        for pair in added:
+            key = pair[0]
+            index = bisect_left(chains, key, key=_pair_key)
+            if index < len(chains) and chains[index][0] == key:
+                chains[index] = pair
+            else:
+                chains.insert(index, pair)
+        return chains, added
 
     def _scan_lock_pages(
         self,
@@ -1285,7 +1347,8 @@ class Database:
         batch-probes the rec+gap resources of the materialised rows
         plus the boundary gap.  A writer fully released inside the
         materialise->lock window is caught exactly as in the record
-        path: the key-set re-probe re-materialises, and the snapshot's
+        path: the key-set re-probe fetches the keys added since the
+        last sample (:meth:`_rows_added_since`), and the snapshot's
         newer-version check in on_read marks committed writers (which
         stay registry-findable).  Convergence mirrors the record path:
         ``requested``/``probed`` only grow, so each extra round needs a
@@ -1296,6 +1359,7 @@ class Database:
         coarse = txn.coarse_sireads
         requested_pages: set = set()
         probed: set = set()
+        fresh = chains
         while True:
             wanted_pages: list = []
             for page in table.leaf_pages(lo, hi):
@@ -1307,7 +1371,7 @@ class Database:
                     continue
                 wanted_pages.append(resource)
             probe: list = []
-            for key, _chain in chains:
+            for key, _chain in fresh:
                 for resource in (
                     gap_resource(table_name, key),
                     record_resource(table_name, key),
@@ -1336,13 +1400,15 @@ class Database:
             keyset_now = table.keyset_version
             if keyset_now == keyset_before:
                 break
+            chains, fresh = self._rows_added_since(
+                table, lo, hi, chains, keyset_before
+            )
             keyset_before = keyset_now
-            chains = self._materialize_chunks(table, lo, hi)
         return chains
 
     def _resolve_scan_rows(
         self, txn: Transaction, table_name: str, chains: list
-    ) -> tuple[list[tuple[Hashable, Any]], list[Hashable]]:
+    ) -> tuple[list[tuple[Hashable, Any]], tuple | None]:
         """Batch visibility resolution for a materialised scan.
 
         One pass with the per-row branches of :meth:`_visible_value`
@@ -1355,15 +1421,22 @@ class Database:
         skips the row entirely), every other row records its read and
         feeds conflict detection, and the collected (key, chain,
         version) triples replay through on_read under a single
-        tracker-latch section."""
+        tracker-latch section.
+
+        Returns the rows and, when history is recorded, the scan's
+        ``(rows, flags, stamps)`` for one
+        :meth:`~repro.sgt.history.HistoryRecorder.on_scan_rows` entry
+        (None otherwise)."""
         results: list[tuple[Hashable, Any]] = []
-        seen: list[Hashable] = []
         policy = txn.policy
         tracks_reads = policy.tracks_reads
         uses_snapshots = policy.uses_snapshots
         write_set = txn.write_set
-        history = self.history
-        txn_id = txn.id
+        recording = self.history is not None
+        if recording:
+            keys: list = []
+            flags: list = []
+            observed: list = []
         deferred: list = [] if tracks_reads else None
         if uses_snapshots:
             read_ts = txn.snapshot.read_ts
@@ -1373,7 +1446,9 @@ class Database:
                 if own is not _MISSING:
                     if own is not TOMBSTONE:
                         results.append((key, own))
-                        seen.append(key)
+                        if recording:
+                            keys.append(key)
+                            flags.append(RETURNED_UNREAD)
                     continue
             if uses_snapshots:
                 # Inlined tail fast path of Snapshot.visible (latch-free
@@ -1388,14 +1463,13 @@ class Database:
                 version = chain.latest()
             if tracks_reads:
                 deferred.append((key, chain, version))
-            if history is not None:
-                history.on_read(
-                    txn_id, table_name, key,
-                    version.commit_ts if version else None,
-                )
-            if version is not None and not version.is_tombstone:
+            live = version is not None and not version.is_tombstone
+            if live:
                 results.append((key, version.value))
-                seen.append(key)
+            if recording:
+                keys.append(key)
+                flags.append(READ_RETURNED if live else READ_HIDDEN)
+                observed.append(version.commit_ts if version else None)
         if chains:
             self.stats.inc("reads", len(chains))
         if deferred:
@@ -1404,7 +1478,9 @@ class Database:
                 on_read = policy.on_read
                 for key, chain, version in deferred:
                     on_read(txn, table_name, key, chain, version)
-        return results, seen
+        if not recording:
+            return results, None
+        return results, (tuple(keys), "".join(flags), tuple(observed))
 
     def scan_prefix(
         self,
@@ -1575,11 +1651,11 @@ class Database:
                 lock_batch([gap_resource(table_name, boundary)])
             if table.keyset_version == keyset_before or not locked_any:
                 break
-        results, seen = self._resolve_scan_rows(txn, table_name, visited)
-        if self.history is not None and txn.read_ts is not None:
+        results, scanned = self._resolve_scan_rows(txn, table_name, visited)
+        if scanned is not None:
             span = (lo, hi if cut_key is _MISSING else cut_key)
-            self.history.on_scan(
-                txn.id, table_name, span, tuple(seen), txn.read_ts
+            self.history.on_scan_rows(
+                txn.id, table_name, span, txn.read_ts, *scanned
             )
         return results
 
@@ -2541,3 +2617,6 @@ class Database:
 
 
 _MISSING = object()
+
+#: sort/bisect key of a materialised ``(key, chain)`` scan pair
+_pair_key = itemgetter(0)

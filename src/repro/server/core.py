@@ -63,6 +63,7 @@ from repro.server.protocol import (
     encode_frame,
     negotiate_codec,
     read_frame_async,
+    thaw_key,
 )
 from repro.session import Session, SessionScheduler
 
@@ -383,7 +384,7 @@ class ReproServer:
                 self.db.create_table(frame["table"])
             else:
                 self.db.load(frame["table"], [
-                    (key, value) for key, value in frame["rows"]
+                    (thaw_key(key), value) for key, value in frame["rows"]
                 ])
         except KeyError as error:
             return {"ok": False, "error": "ProtocolError",
@@ -450,7 +451,11 @@ class ReproServer:
     def _dump_history(self) -> dict[str, Any]:
         """The recorded execution history, JSON-safe, each transaction
         labelled with its global id when it has one — the raw material
-        for the coordinator's merged-MVSG serializability oracle."""
+        for the coordinator's merged-MVSG serializability oracle.  A
+        point operation travels as ``[kind, table, key, version_ts]``, a
+        scan as ``["scan", table, bounds, read_ts, rows, flags, stamps]``
+        (:class:`~repro.sgt.history.ScanRecord`); tuples arrive as lists
+        and the client turns them back."""
         history = self.db.history
         if history is None:
             return {"ok": False, "error": "ProtocolError",
@@ -466,9 +471,10 @@ class ReproServer:
                 "commit_ts": record.commit_ts,
                 "status": record.status,
                 "ops": [
-                    [op.kind, op.table,
-                     list(op.key) if isinstance(op.key, tuple) else op.key,
-                     op.version_ts, list(op.seen_keys)]
+                    ["scan", op.table, op.key, op.version_ts, op.rows,
+                     op.flags, op.stamps]
+                    if op.kind == "scan"
+                    else [op.kind, op.table, op.key, op.version_ts]
                     for op in record.ops
                 ],
             })
@@ -511,27 +517,31 @@ def _op_begin(frame):
 
 
 def _op_point(frame):
-    return (frame["table"], frame["key"]), {}
+    return (frame["table"], thaw_key(frame["key"])), {}
 
 
 def _op_get(frame):
-    return (frame["table"], frame["key"], frame.get("default")), {}
+    return (frame["table"], thaw_key(frame["key"]), frame.get("default")), {}
 
 
 def _op_value(frame):
-    return (frame["table"], frame["key"], frame["value"]), {}
+    return (frame["table"], thaw_key(frame["key"]), frame["value"]), {}
 
 
 def _op_scan(frame):
-    return (frame["table"], frame.get("lo"), frame.get("hi")), {}
+    return (
+        frame["table"], thaw_key(frame.get("lo")), thaw_key(frame.get("hi"))
+    ), {}
 
 
 def _op_index_scan(frame):
-    return (frame["index"], frame.get("lo"), frame.get("hi")), {}
+    return (
+        frame["index"], thaw_key(frame.get("lo")), thaw_key(frame.get("hi"))
+    ), {}
 
 
 def _op_index_lookup(frame):
-    return (frame["index"], frame["key"]), {}
+    return (frame["index"], thaw_key(frame["key"])), {}
 
 
 def _op_bare(_frame):

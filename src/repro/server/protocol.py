@@ -47,7 +47,10 @@ Two optional request fields change dispatch, not framing:
   PREPARE vote of the cross-shard SSI protocol.
 
 Keys and values must be representable in the negotiated codec; that is
-the wire format's restriction, not the engine's.
+the wire format's restriction, not the engine's.  Both codecs carry a
+tuple as an array, which decodes as a list; a key is hashable, so a list
+in a key position always stood for a tuple and :func:`thaw_key` turns it
+back (tuple keys, ``(lo, hi)`` bounds and recorded histories use it).
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ __all__ = [
     "read_frame_async",
     "read_frame_sock",
     "send_frame_sock",
+    "thaw_key",
 ]
 
 _HEADER = struct.Struct(">I")
@@ -79,6 +83,14 @@ MAX_FRAME = 16 * 1024 * 1024
 
 class FrameError(Exception):
     """Malformed frame (oversized, truncated, or invalid body)."""
+
+
+def thaw_key(value: Any) -> Any:
+    """A decoded key with every list turned back into the tuple it was
+    sent as."""
+    if isinstance(value, list):
+        return tuple(thaw_key(item) for item in value)
+    return value
 
 
 def _json_dumps(message: dict[str, Any]) -> bytes:

@@ -13,7 +13,7 @@ Used two ways in this repo:
   impractical" full-graph scheduler the paper contrasts SSI against.
 """
 
-from repro.sgt.history import HistoryRecorder, OpRecord, TxnRecord
+from repro.sgt.history import HistoryRecorder, OpRecord, ScanRecord, TxnRecord
 from repro.sgt.mvsg import MVSG, DependencyEdge, build_mvsg
 from repro.sgt.checker import check_serializable, SerializationReport
 from repro.sgt.scheduler import SGTCertifier
@@ -21,6 +21,7 @@ from repro.sgt.scheduler import SGTCertifier
 __all__ = [
     "HistoryRecorder",
     "OpRecord",
+    "ScanRecord",
     "TxnRecord",
     "MVSG",
     "DependencyEdge",

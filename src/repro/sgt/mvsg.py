@@ -17,11 +17,12 @@ the dangerous structure.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable
 
-from repro.sgt.history import HistoryRecorder, TxnRecord
+from repro.sgt.history import HistoryRecorder
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,59 +123,119 @@ class MVSG:
         return f"MVSG(nodes={len(self.nodes)}, edges={len(self.edges)})"
 
 
+def _sorted_keys(keys: Iterable[Hashable]) -> tuple[list, bool]:
+    """``keys`` in order, and whether they could be ordered at all (a
+    table whose keys do not compare with each other is range-filtered
+    one key at a time instead)."""
+    keys = list(keys)
+    try:
+        keys.sort()
+    except TypeError:
+        return keys, False
+    return keys, True
+
+
 def build_mvsg(history: HistoryRecorder) -> MVSG:
-    """Build the MVSG over the committed transactions of a history."""
+    """Build the MVSG over the committed transactions of a history.
+
+    Near-linear in the history plus the edges found: each item's
+    writers are kept in commit order with a parallel timestamp list, so
+    a read bisects to the first newer version instead of walking them
+    all, and each table's written keys are kept sorted, so a predicate
+    scan bisects its ``[lo, hi]`` instead of testing every written item.
+    Every edge on an item shares one ``(table, key)`` tuple.
+    """
     committed = {record.txn_id: record for record in history.committed()}
     graph = MVSG(nodes=set(committed))
+    edges = graph.edges
 
-    # Index writers: (table, key) -> sorted [(commit_ts, txn_id)]
-    writers: dict[tuple[str, Hashable], list[tuple[int, int]]] = defaultdict(list)
+    # Index writers: (table, key) -> (the item itself, commit timestamps
+    # in order, the writing transaction of each).
+    versions: dict[tuple[str, Hashable], list[tuple[int, int]]] = defaultdict(list)
     for record in committed.values():
         for op in record.writes():
-            writers[(op.table, op.key)].append((record.commit_ts, record.txn_id))
-    for versions in writers.values():
-        versions.sort()
-
-    by_version: dict[tuple[str, Hashable, int], int] = {}
-    for (table, key), versions in writers.items():
-        for commit_ts, txn_id in versions:
-            by_version[(table, key, commit_ts)] = txn_id
-
-    def add(src: int, dst: int, kind: str, item: tuple) -> None:
-        if src != dst and src in committed and dst in committed:
-            graph.edges.add(DependencyEdge(src, dst, kind, item))
+            versions[(op.table, op.key)].append((record.commit_ts, record.txn_id))
+    written: dict[tuple[str, Hashable], tuple[tuple, list[int], list[int]]] = {}
+    for item, item_versions in versions.items():
+        item_versions.sort()
+        written[item] = (
+            item,
+            [commit_ts for commit_ts, _txn in item_versions],
+            [txn_id for _ts, txn_id in item_versions],
+        )
+    del versions
 
     # ww edges: version order on each item.
-    for (table, key), versions in writers.items():
-        for (_ts1, txn1), (_ts2, txn2) in zip(versions, versions[1:]):
-            add(txn1, txn2, "ww", (table, key))
+    for item, _stamps, txns in written.values():
+        for txn1, txn2 in zip(txns, txns[1:]):
+            if txn1 != txn2:
+                edges.add(DependencyEdge(txn1, txn2, "ww", item))
 
-    for record in committed.values():
-        # wr and rw edges from point reads.
-        for op in record.reads():
-            item = (op.table, op.key)
-            if op.version_ts and op.version_ts > 0:
-                creator = by_version.get((op.table, op.key, op.version_ts))
-                if creator is not None:
-                    add(creator, record.txn_id, "wr", item)
-            observed_ts = op.version_ts if op.version_ts is not None else (
-                record.begin_ts or 0
+    def point_read(reader: int, table: str, key: Hashable,
+                   version_ts: int | None, begin_ts: int) -> None:
+        entry = written.get((table, key))
+        if entry is None:
+            return
+        item, stamps, txns = entry
+        if version_ts is None:
+            observed_ts = begin_ts
+        else:
+            observed_ts = version_ts
+            if version_ts > 0:
+                # wr: the creator of the observed version.
+                index = bisect_left(stamps, version_ts)
+                if index < len(stamps) and stamps[index] == version_ts:
+                    creator = txns[index]
+                    if creator != reader:
+                        edges.add(DependencyEdge(creator, reader, "wr", item))
+        # rw: every later version of the item.
+        for index in range(bisect_right(stamps, observed_ts), len(txns)):
+            writer = txns[index]
+            if writer != reader:
+                edges.add(DependencyEdge(reader, writer, "rw", item))
+
+    # Written keys per table, sorted, for the predicate scans.
+    table_keys: dict[str, tuple[list, bool]] = {}
+
+    def written_in(table: str, lo: Hashable | None, hi: Hashable | None) -> list:
+        if table not in table_keys:
+            table_keys[table] = _sorted_keys(
+                key for name, key in written if name == table
             )
-            for commit_ts, writer_id in writers.get(item, ()):
-                if commit_ts > observed_ts:
-                    add(record.txn_id, writer_id, "rw", item)
-        # phantom rw edges from predicate scans.
-        for op in record.scans():
-            lo, hi = op.key
-            read_ts = op.version_ts or record.begin_ts or 0
-            for (table, key), versions in writers.items():
-                if table != op.table:
-                    continue
-                if lo is not None and key < lo:
-                    continue
-                if hi is not None and hi < key:
-                    continue
-                for commit_ts, writer_id in versions:
-                    if commit_ts > read_ts:
-                        add(record.txn_id, writer_id, "rw", (table, (lo, hi)))
+        keys, ordered = table_keys[table]
+        if not ordered:
+            return [
+                key for key in keys
+                if (lo is None or not key < lo) and (hi is None or not hi < key)
+            ]
+        start = 0 if lo is None else bisect_left(keys, lo)
+        stop = len(keys) if hi is None else bisect_right(keys, hi)
+        return keys[start:stop]
+
+    for reader, record in committed.items():
+        begin_ts = record.begin_ts or 0
+        for op in record.ops:
+            kind = op.kind
+            if kind == "read":
+                point_read(reader, op.table, op.key, op.version_ts, begin_ts)
+            elif kind != "scan":
+                continue
+            else:
+                table = op.table
+                for key, version_ts in op.read_rows():
+                    point_read(reader, table, key, version_ts, begin_ts)
+                if op.version_ts is None:
+                    continue  # no snapshot: row reads only
+                # phantom rw edges: every newer writer inside the range.
+                lo, hi = op.key
+                read_ts = op.version_ts or begin_ts
+                bounds_item = (table, (lo, hi))
+                for key in written_in(table, lo, hi):
+                    _item, stamps, txns = written[(table, key)]
+                    for index in range(bisect_right(stamps, read_ts), len(txns)):
+                        writer = txns[index]
+                        if writer != reader:
+                            edges.add(
+                                DependencyEdge(reader, writer, "rw", bounds_item)
+                            )
     return graph

@@ -27,7 +27,8 @@ from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.isolation import IsolationLevel
 from repro.errors import TransactionAbortedError, TransactionStateError
-from repro.sgt.history import OpRecord, TxnRecord
+from repro.server.protocol import thaw_key
+from repro.sgt.history import OpRecord, ScanRecord, TxnRecord
 
 __all__ = ["LocalShard", "RemoteShard"]
 
@@ -293,19 +294,20 @@ class RemoteShard:
         reply = self.link.call({
             "op": "scan", "txn": gtid, "table": table, "lo": lo, "hi": hi,
         })
-        return [(key, value) for key, value in reply["rows"]]
+        return [(thaw_key(key), value) for key, value in reply["rows"]]
 
     def index_scan(self, gtid: int, index: str, lo: Hashable | None = None,
                    hi: Hashable | None = None) -> list:
         reply = self.link.call({
             "op": "index_scan", "txn": gtid, "index": index, "lo": lo, "hi": hi,
         })
-        return [(key, pk) for key, pk in reply["rows"]]
+        return [(thaw_key(key), thaw_key(pk)) for key, pk in reply["rows"]]
 
     def index_lookup(self, gtid: int, index: str, key: Hashable) -> list:
-        return self.link.call({
+        reply = self.link.call({
             "op": "index_lookup", "txn": gtid, "index": index, "key": key,
-        })["keys"]
+        })
+        return [thaw_key(pk) for pk in reply["keys"]]
 
     # -------------------------------------------------------- commit
 
@@ -357,14 +359,17 @@ class RemoteShard:
         records: list[TxnRecord] = []
         gtids: dict[int, int] = {}
         for txn in reply["txns"]:
-            ops = [
-                OpRecord(
-                    kind, table,
-                    tuple(key) if kind == "scan" else key,
-                    version_ts, tuple(seen),
-                )
-                for kind, table, key, version_ts, seen in txn["ops"]
-            ]
+            ops: list[OpRecord | ScanRecord] = []
+            for op in txn["ops"]:
+                if op[0] == "scan":
+                    _kind, table, bounds, read_ts, rows, flags, stamps = op
+                    ops.append(ScanRecord(
+                        table, thaw_key(bounds), read_ts, thaw_key(rows), flags,
+                        tuple(stamps),
+                    ))
+                else:
+                    kind, table, key, version_ts = op
+                    ops.append(OpRecord(kind, table, thaw_key(key), version_ts))
             records.append(TxnRecord(
                 txn["id"], txn["begin_ts"], txn["commit_ts"], txn["status"], ops,
             ))

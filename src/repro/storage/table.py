@@ -10,6 +10,8 @@ chains against the oldest active snapshot.
 
 from __future__ import annotations
 
+from collections import deque
+from operator import itemgetter
 from typing import Any, Hashable, Iterator
 
 from repro.engine.latches import make_latch
@@ -44,6 +46,17 @@ class Table:
         #: materialise->lock window to decide whether a re-scan is owed;
         #: reading it is a GIL-atomic latch-free int probe.
         self.keyset_version = 0
+        #: ``(keyset_version, key)`` of the most recent chain additions,
+        #: oldest first, capped at :attr:`INSERT_LOG_CAPACITY`.  Lets a
+        #: scan's re-probe round fetch just the keys added since its last
+        #: sample (:meth:`inserted_since`) instead of re-walking the range.
+        self._inserts: deque[tuple[int, Hashable]] = deque()
+        #: the log holds every addition stamped above this version
+        self._insert_floor = 0
+
+    #: insert-log entries kept per table; older ones are forgotten and a
+    #: scan asking past them re-materialises its range instead
+    INSERT_LOG_CAPACITY = 1024
 
     # ------------------------------------------------------------- chains
 
@@ -65,12 +78,24 @@ class Table:
             chain = VersionChain()
             touched = self._tree.insert(key, chain)
             self.keyset_version += 1
+            if len(self._inserts) >= self.INSERT_LOG_CAPACITY:
+                self._insert_floor = self._inserts.popleft()[0]
+            self._inserts.append((self.keyset_version, key))
             return chain, touched
 
     def load(self, key: Hashable, value: Any) -> None:
-        """Bulk-load initial data at timestamp 0 (visible to everyone)."""
+        """Bulk-load initial data at timestamp 0 (visible to everyone).
+
+        A loaded key is not put in the insert log; the log's floor moves
+        past it instead, so a scan whose re-probe spans a load
+        re-materialises its range rather than miss the key."""
         with self.latch:
-            chain, _touched = self.ensure_chain(key)
+            chain = self._tree.get(key)
+            if chain is None:
+                chain = VersionChain()
+                self._tree.insert(key, chain)
+                self.keyset_version += 1
+                self._insert_floor = self.keyset_version
             chain.install(Version(value=value, commit_ts=0, creator_id=0))
 
     # ------------------------------------------------------------ queries
@@ -91,6 +116,37 @@ class Table:
         """Materialised ordered scan of chains with keys in [lo, hi]."""
         with self.latch:
             return list(self._tree.range(lo, hi))
+
+    def inserted_since(
+        self, stamp: int, lo: Hashable | None, hi: Hashable | None
+    ) -> list[tuple[Hashable, VersionChain]] | None:
+        """The chains of keys in ``[lo, hi]`` added after ``keyset_version``
+        read ``stamp``, in key order, or None when the insert log no longer
+        reaches back that far.
+
+        Keys vacuumed away since their addition are left out; a key
+        removed and added again comes back with its current chain.
+        Removals are not logged, so the answer is exactly the keys of
+        ``[lo, hi]`` present now that were absent (or a different chain)
+        at ``stamp`` — the only keys a caller who had the range's key set
+        at ``stamp`` is missing.
+        """
+        with self.latch:
+            if stamp < self._insert_floor:
+                return None
+            fresh = set()
+            for added, key in reversed(self._inserts):
+                if added <= stamp:
+                    break
+                if (lo is None or not key < lo) and (hi is None or not hi < key):
+                    fresh.add(key)
+            pairs = []
+            for key in fresh:
+                chain = self._tree.get(key)
+                if chain is not None:
+                    pairs.append((key, chain))
+        pairs.sort(key=itemgetter(0))
+        return pairs
 
     def scan_chunks(
         self,

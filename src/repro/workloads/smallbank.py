@@ -91,12 +91,19 @@ def transact_saving(name: str, amount: float, variant: str = "plain") -> Generat
 
 
 def amalgamate(name1: str, name2: str, variant: str = "plain") -> Generator:
-    """Amg(N1, N2): move all funds of customer 1 to customer 2."""
+    """Amg(N1, N2): move all funds of customer 1 to customer 2.
+
+    A customer amalgamated with themself keeps their money: Saving is
+    folded into Checking."""
     cid1 = yield Read(ACCOUNT, name1)
     cid2 = yield Read(ACCOUNT, name2)
     saving1 = yield Read(SAVING, cid1)
     checking1 = yield Read(CHECKING, cid1)
     checking2 = yield Read(CHECKING, cid2)
+    if cid1 == cid2:
+        yield Write(CHECKING, cid1, checking1 + saving1)
+        yield Write(SAVING, cid1, 0.0)
+        return
     yield Write(CHECKING, cid2, checking2 + saving1 + checking1)
     yield Write(SAVING, cid1, 0.0)
     yield Write(CHECKING, cid1, 0.0)

@@ -10,6 +10,10 @@ Three distinct windows, each made deterministic here:
   swapped-out list, hanging the client thread forever;
 * the engine-side wait loop now also terminates on a resolved request
   even if the wakeup event were somehow lost.
+
+The scan window also has incremental re-probe rounds: inserts landing
+in a later round are found through the table's insert log, and a log
+too short to reach back falls back to re-materialising the range.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import threading
 import pytest
 
 from repro.locking.manager import LockRequest, LockMode, RequestState
+from repro.storage.table import Table
 
 from tests.conftest import fill
 
@@ -238,3 +243,126 @@ class TestRetainAllReadsFastPath:
         assert db.read(reader, "t", 1) == "a"
         assert db.locks.retain_all_reads(reader) is False
         reader.commit()
+
+
+def _insert_before_lock_rounds(db, scanner, table, keys, level):
+    """Before the scanner's i-th read-lock batch lands, run a complete
+    writer lifecycle inserting ``keys[i]`` (every lock acquired and
+    released before the batch).  Returns the writer transactions."""
+    real_batch = db.locks.acquire_read_batch
+    rounds = []
+    writers = []
+
+    def patched(txn, resources, mode):
+        if txn is scanner:
+            index = len(rounds)
+            rounds.append(len(resources))
+            if index < len(keys):
+                writer = db.begin(level)
+                db.read(writer, table.name, 1000)  # findable after commit
+                db.insert(writer, table.name, keys[index], "x")
+                db.commit(writer)
+                writers.append(writer)
+        return real_batch(txn, resources, mode)
+
+    db.locks.acquire_read_batch = patched
+    return writers, rounds
+
+
+def _count_materialisations(table):
+    real = table.scan_chunks
+    calls = []
+
+    def counted(lo, hi, chunk_size=None):
+        calls.append((lo, hi))
+        return real(lo, hi, chunk_size)
+
+    table.scan_chunks = counted
+    return calls
+
+
+class TestIncrementalReprobeRounds:
+    """Re-probe rounds after the first lock only the keys the insert log
+    reports added since the previous key-set sample.  Each insert below
+    lands in the gap the previous one created, before the scanner holds
+    that gap, so only the log can reveal it."""
+
+    @pytest.mark.parametrize("level", ["ssi", "s2pl"])
+    def test_insert_during_second_round_is_detected(self, db, level):
+        fill(db, "t", {1: "a", 5: "b", 1000: "far"})
+        table = db.table("t")
+        materialised = _count_materialisations(table)
+        scanner = db.begin(level)
+        writers, rounds = _insert_before_lock_rounds(
+            db, scanner, table, [4, 3], level
+        )
+        rows = db.scan(scanner, "t", 1, 5)
+        assert len(writers) == 2 and len(rounds) == 3
+        assert len(materialised) == 1, "a re-probe round re-walked the range"
+        if level == "s2pl":
+            assert rows == [(1, "a"), (3, "x"), (4, "x"), (5, "b")]
+            for key in (3, 4):
+                assert db.locks.holds(
+                    scanner, db._rec_resource("t", key), LockMode.SHARED
+                )
+        else:
+            assert rows == [(1, "a"), (5, "b")]
+            assert scanner.out_conflict
+            for writer in writers:
+                assert writer.in_conflict, "second-round insert was missed"
+        db.abort(scanner)
+
+    @pytest.mark.parametrize("level", ["ssi", "s2pl"])
+    def test_short_insert_log_falls_back_to_rematerialising(
+        self, db, level, monkeypatch
+    ):
+        monkeypatch.setattr(Table, "INSERT_LOG_CAPACITY", 1)
+        fill(db, "t", {1: "a", 5: "b", 1000: "far"})
+        table = db.table("t")
+        materialised = _count_materialisations(table)
+        scanner = db.begin(level)
+        real_batch = db.locks.acquire_read_batch
+        writers = []
+
+        def two_inserts_in_window(txn, resources, mode):
+            if txn is scanner and not writers:
+                for key in (4, 3):
+                    writer = db.begin(level)
+                    db.read(writer, "t", 1000)
+                    db.insert(writer, "t", key, "x")
+                    db.commit(writer)
+                    writers.append(writer)
+            return real_batch(txn, resources, mode)
+
+        db.locks.acquire_read_batch = two_inserts_in_window
+        rows = db.scan(scanner, "t", 1, 5)
+        assert len(materialised) == 2, "the log could not reach back"
+        if level == "s2pl":
+            assert rows == [(1, "a"), (3, "x"), (4, "x"), (5, "b")]
+        else:
+            assert rows == [(1, "a"), (5, "b")]
+            assert all(writer.in_conflict for writer in writers)
+        db.abort(scanner)
+
+    def test_bulk_load_in_window_rematerialises(self, db):
+        """A bulk load is not in the insert log; it raises the log's
+        floor, so the next round re-walks the range and sees the row."""
+        fill(db, "t", {1: "a", 5: "b"})
+        table = db.table("t")
+        materialised = _count_materialisations(table)
+        scanner = db.begin("ssi")
+        real_batch = db.locks.acquire_read_batch
+
+        def load_in_window(txn, resources, mode):
+            if txn is scanner and len(materialised) == 1:
+                db.load("t", [(3, "loaded")])
+            return real_batch(txn, resources, mode)
+
+        db.locks.acquire_read_batch = load_in_window
+        rows = db.scan(scanner, "t", 1, 5)
+        assert len(materialised) == 2
+        assert rows == [(1, "a"), (3, "loaded"), (5, "b")]
+        assert db.locks.holds(
+            scanner, db._rec_resource("t", 3), LockMode.SIREAD
+        )
+        db.abort(scanner)

@@ -2,13 +2,18 @@
 
 Covers what the storage tests cannot: the page-granularity SIREAD
 threshold (bounded lock-table cost, phantom detection through coarse
-probes), the incremental vacuum's ``vacuum_pause_events`` counter, and
+probes), the incremental vacuum's ``vacuum_pause_events`` counter,
 ``scan_prefix`` — its first-N semantics and the cut-point guarantee
 (inserts at or below the cut raise the rw edge, inserts past the cut
-cannot change the answer and raise none).
+cannot change the answer and raise none) — and the incremental re-probe
+rounds' materialisation bound.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
+import time
 
 import pytest
 
@@ -194,4 +199,107 @@ class TestScanPrefixCutPoint:
         db.insert(writer, "t", 70, "append")
         writer.commit()
         assert reader.out_conflict
+        db.abort(reader)
+
+
+def count_materialised(table) -> dict:
+    """Wrap ``table.scan_chunks`` to count its calls and the rows it
+    yields (the scan's materialisation cost)."""
+    real = table.scan_chunks
+    counts = {"calls": 0, "rows": 0}
+
+    def counted(lo, hi, chunk_size=None):
+        counts["calls"] += 1
+        for chunk in real(lo, hi, chunk_size):
+            counts["rows"] += len(chunk)
+            yield chunk
+
+    table.scan_chunks = counted
+    return counts
+
+
+class TestIncrementalReprobe:
+    """Re-probe rounds fetch only the keys added to the range since the
+    last key-set sample, so a scan's materialisation is bounded by the
+    range plus the inserts that landed during it, whatever the number of
+    rounds."""
+
+    def test_scan_beside_insert_stream_reads_range_plus_inserts(self):
+        db = make_db()
+        fill_range(db, "t", 400, step=10)
+        fill(db, "other", {0: 0})
+        table = db.table("t")
+        counts = count_materialised(table)
+        log_reads = []
+        real_inserted_since = table.inserted_since
+
+        def counted_inserted_since(stamp, lo, hi):
+            log_reads.append(stamp)
+            return real_inserted_since(stamp, lo, hi)
+
+        table.inserted_since = counted_inserted_since
+        stop = threading.Event()
+
+        def insert_stream():
+            key = 1
+            while not stop.is_set():
+                writer = db.begin("ssi")
+                db.read(writer, "other", 0)
+                db.insert(writer, "t", key, "new")
+                db.commit(writer)
+                key += 10
+
+        thread = threading.Thread(target=insert_stream)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        thread.start()
+        try:
+            deadline = time.monotonic() + 10.0
+            raced = 0
+            while raced < 3 and time.monotonic() < deadline:
+                counts["calls"] = counts["rows"] = 0
+                before = table.keyset_version
+                in_range = len(table)
+                reader = db.begin("ssi")
+                db.scan(reader, "t")
+                inserted = table.keyset_version - before
+                db.abort(reader)
+                assert counts["calls"] == 1
+                assert counts["rows"] <= in_range + inserted
+                if inserted:
+                    raced += 1
+        finally:
+            stop.set()
+            thread.join(timeout=10.0)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert raced >= 3, "no scan overlapped the insert stream"
+        assert log_reads, "no re-probe round ran"
+
+    def test_vacuum_only_keyset_change_rematerialises_nothing(self):
+        db = make_db()
+        fill_range(db, "t", 10, step=10)
+        deleter = db.begin("si")
+        db.delete(deleter, "t", 50)
+        deleter.commit()
+        table = db.table("t")
+        counts = count_materialised(table)
+        reader = db.begin("ssi")
+        real_batch = db.locks.acquire_read_batch
+        batches = []
+
+        def vacuum_in_window(txn, resources, mode):
+            if txn is reader:
+                batches.append(len(resources))
+                if len(batches) == 1:
+                    assert db.vacuum() >= 2  # the tombstone and the row
+            return real_batch(txn, resources, mode)
+
+        db.locks.acquire_read_batch = vacuum_in_window
+        before = table.keyset_version
+        rows = db.scan(reader, "t", 0, 90)
+        assert table.keyset_version != before, "vacuum removed no key"
+        assert [key for key, _ in rows] == [0, 10, 20, 30, 40, 60, 70, 80, 90]
+        assert counts["calls"] == 1
+        assert len(batches) == 1  # no second lock round
         db.abort(reader)

@@ -59,6 +59,26 @@ class TestPrograms:
         assert run_program(db, balance(NAME)) == 0.0
         assert run_program(db, balance(other)) == 4000.0
 
+    def test_self_amalgamate_keeps_the_money(self):
+        """Amalgamating a customer with themself folds Saving into
+        Checking; it must not zero the row it just wrote."""
+        db = Database(EngineConfig())
+        setup_smallbank(db, customers=3)
+        name = customer_name(0)
+
+        def total():
+            return sum(run_program(db, balance(customer_name(i)))
+                       for i in range(3))
+
+        before = total()
+        run_program(db, amalgamate(name, name))
+        assert total() == before
+        txn = db.begin("si")
+        cid = db.read(txn, smallbank.ACCOUNT, name)
+        assert db.read(txn, smallbank.SAVING, cid) == 0.0
+        assert db.read(txn, smallbank.CHECKING, cid) == 2000.0
+        db.commit(txn)
+
     def test_write_check_normal(self, db):
         run_program(db, write_check(NAME, 100.0))
         assert run_program(db, balance(NAME)) == 1900.0
